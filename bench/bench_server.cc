@@ -169,9 +169,9 @@ ServerHandle StartServer(std::size_t workers, const AdmissionPolicy& admission) 
 
 // ---------------------------------------------------------------------------
 // 1. Cold vs warm p50: K distinct compile-dominated sentences over the tiny
-// ring. First contact pays parse + analyze + compile inside admission's
-// PlanAuto; repeats are a text-layer cache probe plus a few hundred slot
-// ops, so the socket round trip plus probe is the whole warm latency.
+// ring. First contact pays parse + analyze + compile inside the request's
+// one PrepareAuto; repeats are a text-layer cache probe plus a few hundred
+// slot ops, so the socket round trip plus probe is the whole warm latency.
 
 std::vector<std::string> CompileDominatedSuite() {
   std::vector<std::string> suite;

@@ -80,16 +80,6 @@ struct LintOptions {
   std::vector<std::string> outputs;
 };
 
-// base/json_out.h: the shared escaper handles control characters and
-// invalid UTF-8 bytes, which the seed's ad-hoc escaper passed through raw
-// (a "\x01" in a file name made --json emit invalid JSON).
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  fmtk::JsonAppendEscaped(out, text);
-  return out;
-}
-
 // The analyzer measures the meta-planner's cost model routes on
 // (src/planner/planner.cc Route()), as one JSON object.
 std::string MeasuresJson(const FoAnalysis& analysis) {
@@ -102,17 +92,6 @@ std::string MeasuresJson(const FoAnalysis& analysis) {
       << ",\"safe_range\":" << (analysis.safe_range ? "true" : "false")
       << "}";
   return out.str();
-}
-
-std::string JsonStringArray(const std::vector<std::string>& items) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
-    out += "\"" + JsonEscape(items[i]) + "\"";
-  }
-  return out + "]";
 }
 
 std::string StructureStatsJson(const fmtk::StructureStats& stats) {
@@ -190,8 +169,8 @@ void PrintReport(const std::string& label, const std::string& kind,
                  const std::vector<std::string>& summary,
                  const std::string& extra_json = "") {
   if (json) {
-    std::printf("{\"input\":\"%s\",\"kind\":\"%s\",\"diagnostics\":%s%s}\n",
-                JsonEscape(label).c_str(), kind.c_str(),
+    std::printf("{\"input\":%s,\"kind\":\"%s\",\"diagnostics\":%s%s}\n",
+                fmtk::JsonQuote(label).c_str(), kind.c_str(),
                 diagnostics.ToJson().c_str(), extra_json.c_str());
     return;
   }
@@ -255,7 +234,8 @@ int LintDatalog(const std::string& label, const std::string& text,
   const DatalogAnalysis analysis =
       fmtk::AnalyzeProgram(*program, analyzer_options);
   std::vector<std::string> summary = analysis.RecursionSummary();
-  std::string extra = ",\"strata\":" + JsonStringArray(analysis.StratumSummary());
+  std::string extra = ",\"strata\":";
+  fmtk::JsonAppendStringArray(extra, analysis.StratumSummary());
   if (options.structure != nullptr) {
     extra += ",\"structure_stats\":" +
              StructureStatsJson(options.structure->Stats());
@@ -277,18 +257,20 @@ int LintDatalog(const std::string& label, const std::string& text,
     }
     optimized = *std::move(result);
     if (options.json) {
-      extra += ",\"optimize\":{\"rewrites\":" +
-               JsonStringArray(optimized->RewriteSummary()) +
-               ",\"boundedness\":" +
-               JsonStringArray(optimized->BoundednessSummary()) +
-               ",\"strata\":" +
-               JsonStringArray(optimized->analysis.StratumSummary()) +
-               ",\"magic_applied\":" +
-               (optimized->magic_applied ? "true" : "false") +
-               ",\"fo_expressible\":" +
-               (optimized->fo_expressible ? "true" : "false") +
-               ",\"program\":\"" + JsonEscape(optimized->program.ToString()) +
-               "\"}";
+      extra += ",\"optimize\":{\"rewrites\":";
+      fmtk::JsonAppendStringArray(extra, optimized->RewriteSummary());
+      extra += ",\"boundedness\":";
+      fmtk::JsonAppendStringArray(extra, optimized->BoundednessSummary());
+      extra += ",\"strata\":";
+      fmtk::JsonAppendStringArray(extra,
+                                  optimized->analysis.StratumSummary());
+      extra += ",\"magic_applied\":";
+      extra += optimized->magic_applied ? "true" : "false";
+      extra += ",\"fo_expressible\":";
+      extra += optimized->fo_expressible ? "true" : "false";
+      extra += ",\"program\":";
+      fmtk::JsonAppendString(extra, optimized->program.ToString());
+      extra += "}";
     }
   }
 

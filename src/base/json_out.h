@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace fmtk {
 
@@ -155,6 +156,19 @@ inline std::string JsonQuote(std::string_view text) {
   out.reserve(text.size() + 2);
   JsonAppendString(out, text);
   return out;
+}
+
+/// Appends `items` as a JSON array of quoted strings.
+inline void JsonAppendStringArray(std::string& out,
+                                  const std::vector<std::string>& items) {
+  out += '[';
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) {
+      out += ',';
+    }
+    JsonAppendString(out, items[i]);
+  }
+  out += ']';
 }
 
 /// A finite double as a JSON number ("%.17g" round-trips exactly); NaN and

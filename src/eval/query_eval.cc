@@ -476,6 +476,23 @@ Status AnalyzeFrontDoor(const Structure& structure, const Formula& f,
 
 }  // namespace
 
+Status CheckOutputVariables(const std::set<std::string>& free_variables,
+                            const std::vector<std::string>& output_variables) {
+  std::set<std::string> seen;
+  for (const std::string& v : output_variables) {
+    if (!seen.insert(v).second) {
+      return Status::InvalidArgument("duplicate output variable: " + v);
+    }
+  }
+  for (const std::string& v : free_variables) {
+    if (seen.count(v) == 0) {
+      return Status::InvalidArgument(
+          "output variables must cover free variable " + v);
+    }
+  }
+  return Status::OK();
+}
+
 Result<Relation> EvaluateQuery(
     const Structure& structure, const Formula& f,
     const std::vector<std::string>& output_variables) {
@@ -487,18 +504,8 @@ Result<Relation> EvaluateQuery(
     const std::vector<std::string>& output_variables,
     const QueryEvalOptions& options) {
   FMTK_RETURN_IF_ERROR(AnalyzeFrontDoor(structure, f, options));
-  // Every free variable must be listed.
-  std::set<std::string> out_set(output_variables.begin(),
-                                output_variables.end());
-  if (out_set.size() != output_variables.size()) {
-    return Status::InvalidArgument("duplicate output variable");
-  }
-  for (const std::string& v : FreeVariables(f)) {
-    if (out_set.find(v) == out_set.end()) {
-      return Status::InvalidArgument("free variable " + v +
-                                     " missing from output variables");
-    }
-  }
+  FMTK_RETURN_IF_ERROR(
+      CheckOutputVariables(FreeVariables(f), output_variables));
   BottomUpEvaluator evaluator(structure);
   FMTK_ASSIGN_OR_RETURN(Table t, evaluator.Eval(f));
   std::vector<std::string> sorted_out(output_variables.begin(),
@@ -529,17 +536,8 @@ Result<Relation> EvaluateQueryNaive(
     const Structure& structure, const Formula& f,
     const std::vector<std::string>& output_variables) {
   FMTK_RETURN_IF_ERROR(AnalyzeFrontDoor(structure, f, QueryEvalOptions{}));
-  std::set<std::string> out_set(output_variables.begin(),
-                                output_variables.end());
-  if (out_set.size() != output_variables.size()) {
-    return Status::InvalidArgument("duplicate output variable");
-  }
-  for (const std::string& v : FreeVariables(f)) {
-    if (out_set.find(v) == out_set.end()) {
-      return Status::InvalidArgument("free variable " + v +
-                                     " missing from output variables");
-    }
-  }
+  FMTK_RETURN_IF_ERROR(
+      CheckOutputVariables(FreeVariables(f), output_variables));
   // Compile once, then evaluate each candidate tuple on flat slot state —
   // no per-candidate signature validation or string-keyed environment.
   FMTK_ASSIGN_OR_RETURN(CompiledEvaluator compiled,

@@ -1,11 +1,13 @@
 #ifndef FMTK_EVAL_QUERY_EVAL_H_
 #define FMTK_EVAL_QUERY_EVAL_H_
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/fo_analyzer.h"
 #include "base/result.h"
+#include "base/status.h"
 #include "logic/formula.h"
 #include "structures/relation.h"
 #include "structures/structure.h"
@@ -24,6 +26,12 @@ struct QueryEvalOptions {
   /// the warnings of accepted queries.
   FoAnalysis* analysis = nullptr;
 };
+
+/// The output-variable contract of every query entry point: no variable
+/// listed twice, and every variable of `free_variables` listed.
+/// InvalidArgument otherwise.
+Status CheckOutputVariables(const std::set<std::string>& free_variables,
+                            const std::vector<std::string>& output_variables);
 
 /// ans(φ(x̄), A) — the survey's query semantics: all tuples d̄ over the
 /// domain with A ⊨ φ[x̄/d̄]. Column i of the result corresponds to

@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <mutex>
-#include <set>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "base/json_out.h"
+#include "base/parallel.h"
 #include "core/algorithmic/bounded_degree.h"
 #include "eval/compiled_eval.h"
 #include "eval/model_check.h"
@@ -72,6 +74,20 @@ double BallEstimate(std::size_t degree, std::size_t radius, std::size_t n) {
 // kRelationalRowCost compiled slot operations (calibrated on the E19
 // bench), which is what makes the estimates comparable across engines.
 constexpr double kRelationalRowCost = 30.0;
+
+// Bounded-degree route: the largest estimated r-ball worth the histogram
+// pass, and the safety factor — the histogram pass must be estimated at
+// most this fraction of the compiled scan before the route is taken (so
+// even a verdict-cache miss, which falls back to one compiled check, costs
+// at most (1 + safety) of the compiled route).
+constexpr double kBoundedDegreeMaxBall = 256.0;
+constexpr double kBoundedDegreeSafety = 0.15;
+
+// Threads the parallel route fans out over: every hardware thread.
+std::size_t ParallelThreads() {
+  const std::size_t threads = std::thread::hardware_concurrency();
+  return threads == 0 ? 1 : threads;
+}
 
 struct RelEst {
   double rows = 0.0;
@@ -290,15 +306,6 @@ void RecordScanFeedback(const CachedFormulaPlan& plan, const Structure& s,
                                std::memory_order_release);
 }
 
-struct RouteResult {
-  EngineKind chosen = EngineKind::kCompiled;
-  std::vector<EngineCost> costs;
-  /// "static" / "measured" / "prior" — see PlanExplanation::scan_estimate.
-  const char* scan_estimate = "static";
-  double scan_ratio = 1.0;
-  std::uint64_t observed_short_circuits = 0;
-};
-
 EngineCost MakeCost(EngineKind k, bool eligible, double cost,
                     std::string note = "") {
   EngineCost c;
@@ -310,11 +317,14 @@ EngineCost MakeCost(EngineKind k, bool eligible, double cost,
 }
 
 // The cost model: one table of (eligibility, estimated work units) per
-// engine, then argmin. `output_count` is meaningful in query mode only.
-RouteResult Route(const Structure& s, const CachedFormulaPlan& plan,
-                  const StructureStats& stats, bool query_mode,
-                  std::size_t output_count, const PlannerOptions& opts) {
-  RouteResult result;
+// engine for result.plan on `s`, then argmin into result.chosen — or the
+// forced engine, whose row is marked. `output_count` is meaningful in
+// query mode only.
+void Route(const Structure& s, bool query_mode, std::size_t output_count,
+           const PlannerOptions& opts, RoutedPlan& result) {
+  const CachedFormulaPlan& plan = *result.plan;
+  result.stats = s.Stats();
+  const StructureStats& stats = result.stats;
   const double n = static_cast<double>(
       stats.domain_size == 0 ? 1 : stats.domain_size);
   const double nodes = static_cast<double>(
@@ -374,12 +384,7 @@ RouteResult Route(const Structure& s, const CachedFormulaPlan& plan,
 
   // Parallel outer-quantifier fan-out (sentences; PR 1's ParallelPolicy).
   {
-    std::size_t threads = opts.threads != 0
-                              ? opts.threads
-                              : std::thread::hardware_concurrency();
-    if (threads == 0) {
-      threads = 1;
-    }
+    const std::size_t threads = ParallelThreads();
     if (query_mode) {
       result.costs.push_back(MakeCost(EngineKind::kParallel, false, 0.0,
                                       "sentences only"));
@@ -470,12 +475,12 @@ RouteResult Route(const Structure& s, const CachedFormulaPlan& plan,
     if (!bd.structurally_eligible) {
       result.costs.push_back(
           MakeCost(EngineKind::kBoundedDegree, false, 0.0, bd.reason));
-    } else if (bd.ball > static_cast<double>(opts.bounded_degree_max_ball)) {
+    } else if (bd.ball > kBoundedDegreeMaxBall) {
       result.costs.push_back(MakeCost(EngineKind::kBoundedDegree, false, 0.0,
                                       "estimated ball too large"));
     } else {
       const double hist = BdHistogramCost(stats, bd.ball);
-      if (hist <= opts.bounded_degree_safety * compiled_cost) {
+      if (hist <= kBoundedDegreeSafety * compiled_cost) {
         result.costs.push_back(
             MakeCost(EngineKind::kBoundedDegree, true, hist));
       } else {
@@ -499,7 +504,15 @@ RouteResult Route(const Structure& s, const CachedFormulaPlan& plan,
       result.chosen = c.engine;
     }
   }
-  return result;
+  result.record_feedback = !opts.force_engine.has_value();
+  if (opts.force_engine.has_value()) {
+    result.chosen = *opts.force_engine;
+    for (EngineCost& c : result.costs) {
+      if (c.engine == result.chosen) {
+        c.note = c.note.empty() ? "forced" : "forced; " + c.note;
+      }
+    }
+  }
 }
 
 void RuleFor(EngineKind kind, bool cache_hit, std::string* rule,
@@ -558,95 +571,12 @@ std::string FormatCost(double cost) {
   return buf;
 }
 
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size() + 8);
-  JsonAppendEscaped(out, in);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Execution of the chosen engine.
 
-Result<bool> RunSentence(EngineKind kind, const Structure& s,
-                         const CachedFormulaPlan& plan,
-                         const StructureStats& stats,
-                         const PlannerOptions& opts,
-                         bool record_feedback) {
-  switch (kind) {
-    case EngineKind::kNaive: {
-      ModelChecker checker(s);
-      return checker.Check(plan.canonical.formula);
-    }
-    case EngineKind::kCompiled: {
-      FMTK_ASSIGN_OR_RETURN(CompiledEvaluator evaluator,
-                            CompiledEvaluator::Bind(plan.plan, s));
-      Result<bool> verdict = evaluator.Evaluate();
-      if (verdict.ok() && record_feedback) {
-        RecordScanFeedback(plan, s, /*query_mode=*/false, 0,
-                           evaluator.stats());
-      }
-      return verdict;
-    }
-    case EngineKind::kParallel: {
-      ParallelPolicy policy;
-      policy.enabled = true;
-      policy.num_threads = opts.threads;
-      FMTK_ASSIGN_OR_RETURN(CompiledEvaluator evaluator,
-                            CompiledEvaluator::Bind(plan.plan, s, policy));
-      return evaluator.Evaluate();
-    }
-    case EngineKind::kRelational: {
-      FMTK_ASSIGN_OR_RETURN(Relation answers,
-                            EvaluateQuery(s, plan.canonical.formula, {}));
-      return answers.size() > 0;
-    }
-    case EngineKind::kDatalog: {
-      std::lock_guard<std::mutex> lock(plan.engines_mu);
-      const FoDatalogTranslation* translation =
-          EnsureTranslationLocked(plan, s.signature());
-      if (translation == nullptr) {
-        return Status::Unsupported(
-            "planner: formula has no Datalog lowering");
-      }
-      FMTK_ASSIGN_OR_RETURN(
-          CompiledDatalogEngine engine,
-          GetOrBindDatalogEngine(plan.datalog_engines, translation->program,
-                                 s));
-      FMTK_ASSIGN_OR_RETURN(auto idb, engine.Evaluate());
-      return idb.at(translation->output_predicate).size() > 0;
-    }
-    case EngineKind::kBoundedDegree: {
-      std::lock_guard<std::mutex> lock(plan.engines_mu);
-      if (!plan.bounded_degree.has_value()) {
-        if (plan.bounded_degree_failed) {
-          return Status::Unsupported(
-              "planner: bounded-degree evaluator unavailable for this "
-              "sentence");
-        }
-        const BdParams bd = BoundedDegreeParams(plan, s, stats);
-        if (!bd.structurally_eligible) {
-          return Status::Unsupported(
-              "planner: bounded-degree route ineligible: " + bd.reason);
-        }
-        BoundedDegreeEvaluator::Options options;
-        options.threshold = bd.threshold;
-        Result<BoundedDegreeEvaluator> evaluator =
-            BoundedDegreeEvaluator::Create(plan.canonical.formula, options);
-        if (!evaluator.ok()) {
-          plan.bounded_degree_failed = true;
-          return evaluator.status();
-        }
-        plan.bounded_degree.emplace(std::move(evaluator).value());
-      }
-      return plan.bounded_degree->Evaluate(s);
-    }
-  }
-  return Status::Internal("planner: unknown engine");
-}
-
 // domain^m enumeration over the cached compiled plan — the same candidate
-// order and verdicts as EvaluateQueryNaive, minus the recompilation.
+// order and verdicts as EvaluateQueryNaive, minus the recompilation. The
+// caller has checked that the outputs cover the free variables.
 Result<Relation> EnumerateWithPlan(
     const Structure& s, const CachedFormulaPlan& plan,
     const std::vector<std::string>& output_variables,
@@ -663,20 +593,13 @@ Result<Relation> EnumerateWithPlan(
     }
   };
   const std::vector<std::string>& free_vars = evaluator.free_variables();
-  std::vector<std::size_t> source(free_vars.size(), 0);
-  for (std::size_t i = 0; i < free_vars.size(); ++i) {
-    bool found = false;
-    for (std::size_t j = 0; j < output_variables.size(); ++j) {
-      if (output_variables[j] == free_vars[i]) {
-        source[i] = j;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::InvalidArgument(
-          "output variables must cover free variable " + free_vars[i]);
-    }
+  // free_vars[i] = output_variables[source[i]].
+  std::vector<std::size_t> source;
+  source.reserve(free_vars.size());
+  for (const std::string& v : free_vars) {
+    source.push_back(static_cast<std::size_t>(
+        std::find(output_variables.begin(), output_variables.end(), v) -
+        output_variables.begin()));
   }
   const std::size_t m = output_variables.size();
   const std::size_t n = s.domain_size();
@@ -717,176 +640,63 @@ Result<Relation> EnumerateWithPlan(
   }
 }
 
-Result<Relation> RunQuery(EngineKind kind, const Structure& s,
-                          const CachedFormulaPlan& plan,
-                          const std::vector<std::string>& output_variables,
-                          const PlannerOptions& opts, bool record_feedback) {
-  (void)opts;
-  switch (kind) {
-    case EngineKind::kNaive:
-      return EvaluateQueryNaive(s, plan.canonical.formula, output_variables);
-    case EngineKind::kCompiled:
-      return EnumerateWithPlan(s, plan, output_variables, record_feedback);
-    case EngineKind::kRelational:
-      return EvaluateQuery(s, plan.canonical.formula, output_variables);
-    case EngineKind::kDatalog: {
-      std::lock_guard<std::mutex> lock(plan.engines_mu);
-      const FoDatalogTranslation* translation =
-          EnsureTranslationLocked(plan, s.signature());
-      if (translation == nullptr) {
-        return Status::Unsupported(
-            "planner: query has no Datalog lowering");
-      }
-      // Datalog answers carry exactly the free variables; extra output
-      // columns are not expressible in positive rules.
-      if (translation->output_variables.size() != output_variables.size()) {
-        return Status::Unsupported(
-            "planner: Datalog route requires the outputs to be exactly "
-            "the free variables");
-      }
-      std::vector<std::size_t> perm(output_variables.size(), 0);
-      bool identity = true;
-      for (std::size_t j = 0; j < output_variables.size(); ++j) {
-        bool found = false;
-        for (std::size_t i = 0; i < translation->output_variables.size();
-             ++i) {
-          if (translation->output_variables[i] == output_variables[j]) {
-            perm[j] = i;
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          return Status::Unsupported(
-              "planner: Datalog route requires the outputs to be exactly "
-              "the free variables");
-        }
-        identity = identity && perm[j] == j;
-      }
-      FMTK_ASSIGN_OR_RETURN(
-          CompiledDatalogEngine engine,
-          GetOrBindDatalogEngine(plan.datalog_engines, translation->program,
-                                 s));
-      FMTK_ASSIGN_OR_RETURN(auto idb, engine.Evaluate());
-      Relation& raw = idb.at(translation->output_predicate);
-      if (identity) {
-        return std::move(raw);
-      }
-      Relation answers(output_variables.size());
-      for (const Tuple& t : raw.tuples()) {
-        Tuple reordered(t.size());
-        for (std::size_t j = 0; j < perm.size(); ++j) {
-          reordered[j] = t[perm[j]];
-        }
-        answers.Add(std::move(reordered));
-      }
-      return answers;
-    }
-    case EngineKind::kParallel:
-    case EngineKind::kBoundedDegree:
-      return Status::Unsupported(
-          std::string("planner: engine '") + EngineKindName(kind) +
-          "' evaluates sentences only");
+// The FO -> nonrecursive-Datalog route, for sentences (no outputs) and
+// queries alike: evaluates the plan's lowering on `s` and returns the
+// output predicate's relation with its columns in `output_variables`
+// order. Datalog answers carry exactly the free variables; extra output
+// columns are not expressible in positive rules.
+Result<Relation> RunDatalogLowering(
+    const Structure& s, const CachedFormulaPlan& plan,
+    const std::vector<std::string>& output_variables) {
+  std::lock_guard<std::mutex> lock(plan.engines_mu);
+  const FoDatalogTranslation* translation =
+      EnsureTranslationLocked(plan, s.signature());
+  if (translation == nullptr) {
+    return Status::Unsupported("planner: formula has no Datalog lowering");
   }
-  return Status::Internal("planner: unknown engine");
+  const std::vector<std::string>& columns = translation->output_variables;
+  if (!std::is_permutation(columns.begin(), columns.end(),
+                           output_variables.begin(),
+                           output_variables.end())) {
+    return Status::Unsupported(
+        "planner: Datalog route requires the outputs to be exactly the free "
+        "variables");
+  }
+  FMTK_ASSIGN_OR_RETURN(
+      CompiledDatalogEngine engine,
+      GetOrBindDatalogEngine(plan.datalog_engines, translation->program, s));
+  FMTK_ASSIGN_OR_RETURN(auto idb, engine.Evaluate());
+  Relation& raw = idb.at(translation->output_predicate);
+  if (columns == output_variables) {
+    return std::move(raw);
+  }
+  // Output column j is lowering column perm[j].
+  std::vector<std::size_t> perm;
+  perm.reserve(output_variables.size());
+  for (const std::string& v : output_variables) {
+    perm.push_back(static_cast<std::size_t>(
+        std::find(columns.begin(), columns.end(), v) - columns.begin()));
+  }
+  Relation answers(output_variables.size());
+  for (const Tuple& t : raw.tuples()) {
+    Tuple reordered(t.size());
+    for (std::size_t j = 0; j < perm.size(); ++j) {
+      reordered[j] = t[perm[j]];
+    }
+    answers.Add(std::move(reordered));
+  }
+  return answers;
 }
 
-// Shared front half of EvaluateAuto / EvaluateQueryAuto: plan acquisition
-// (cache or throwaway), routing, explanation fill-in.
-struct AutoContext {
-  std::shared_ptr<const CachedFormulaPlan> plan;
-  PlanCacheLookup lookup;
-  StructureStats stats;
-  EngineKind chosen = EngineKind::kCompiled;
-  std::vector<EngineCost> costs;
-  const char* scan_estimate = "static";
-  double scan_ratio = 1.0;
-  std::uint64_t observed_short_circuits = 0;
-  /// Feedback is recorded only for router-chosen runs, never forced ones.
-  bool record_feedback = false;
-};
-
-Result<AutoContext> PrepareAuto(const Structure& s, const Formula* formula,
-                                const std::string_view* text, bool query_mode,
-                                std::size_t output_count,
-                                const PlannerOptions& opts) {
-  AutoContext ctx;
-  if (opts.use_cache) {
-    PlanCache& cache =
-        opts.cache != nullptr ? *opts.cache : DefaultPlanCache();
-    if (formula != nullptr) {
-      // Error parity with the direct engines: the *original* formula is
-      // checked against the vocabulary (folding could erase an invalid
-      // dead branch before the canonical-formula analysis sees it).
-      Status check = CheckAgainstSignature(*formula, s.signature());
-      if (!check.ok()) {
-        return check;
-      }
-      FMTK_ASSIGN_OR_RETURN(
-          ctx.plan, cache.GetFormulaPlan(*formula, s.signature(),
-                                         &ctx.lookup));
-    } else {
-      FMTK_ASSIGN_OR_RETURN(
-          ctx.plan, cache.GetFormulaPlanFromText(*text, s.signature(),
-                                                 &ctx.lookup));
-    }
-  } else {
-    PlanCache throwaway(PlanCache::Config{1, 2});
-    if (formula != nullptr) {
-      Status check = CheckAgainstSignature(*formula, s.signature());
-      if (!check.ok()) {
-        return check;
-      }
-      FMTK_ASSIGN_OR_RETURN(
-          ctx.plan, throwaway.GetFormulaPlan(*formula, s.signature(),
-                                             &ctx.lookup));
-    } else {
-      FMTK_ASSIGN_OR_RETURN(
-          ctx.plan, throwaway.GetFormulaPlanFromText(*text, s.signature(),
-                                                     &ctx.lookup));
-    }
-    ctx.lookup.hit = false;
-    ctx.lookup.text_hit = false;
+// The cache a call plans through: the configured one or, with use_cache
+// off, a fresh single-entry cache in `throwaway` that lives for this call
+// only (so every lookup misses and nothing is shared).
+PlanCache& CacheFor(const PlannerOptions& opts,
+                    std::optional<PlanCache>& throwaway) {
+  if (!opts.use_cache) {
+    return throwaway.emplace(PlanCache::Config{1, 2});
   }
-
-  ctx.stats = s.Stats();
-  if (opts.force_engine.has_value()) {
-    ctx.chosen = *opts.force_engine;
-    ctx.costs.push_back(MakeCost(ctx.chosen, true, 0.0, "forced"));
-  } else {
-    RouteResult route =
-        Route(s, *ctx.plan, ctx.stats, query_mode, output_count, opts);
-    ctx.chosen = route.chosen;
-    ctx.costs = std::move(route.costs);
-    ctx.scan_estimate = route.scan_estimate;
-    ctx.scan_ratio = route.scan_ratio;
-    ctx.observed_short_circuits = route.observed_short_circuits;
-    ctx.record_feedback = true;
-  }
-  return ctx;
-}
-
-void FillExplanation(const AutoContext& ctx, PlanExplanation* explain) {
-  if (explain == nullptr) {
-    return;
-  }
-  explain->chosen = ctx.chosen;
-  RuleFor(ctx.chosen, ctx.lookup.hit, &explain->rule, &explain->theorem);
-  explain->cache_hit = ctx.lookup.hit;
-  explain->text_cache_hit = ctx.lookup.text_hit;
-  explain->canonical_text = ctx.plan->canonical.text;
-  explain->signature_fingerprint = ctx.plan->canonical.fingerprint;
-  explain->quantifier_rank = ctx.plan->analysis.quantifier_rank;
-  explain->variable_width = ctx.plan->analysis.variable_width;
-  explain->node_count = ctx.plan->analysis.node_count;
-  explain->free_variable_count = ctx.plan->analysis.free_variables.size();
-  explain->safe_range = ctx.plan->analysis.safe_range;
-  explain->existential_positive = ctx.plan->existential_positive;
-  explain->scan_estimate = ctx.scan_estimate;
-  explain->scan_ratio = ctx.scan_ratio;
-  explain->observed_short_circuits = ctx.observed_short_circuits;
-  explain->structure = ctx.stats;
-  explain->costs = ctx.costs;
+  return opts.cache != nullptr ? *opts.cache : DefaultPlanCache();
 }
 
 }  // namespace
@@ -960,7 +770,7 @@ std::string PlanExplanation::ToJson() const {
   out += cache_hit ? "true" : "false";
   out += ",\"text_cache_hit\":";
   out += text_cache_hit ? "true" : "false";
-  out += ",\"canonical\":\"" + JsonEscape(canonical_text) + "\"";
+  out += ",\"canonical\":" + JsonQuote(canonical_text);
   char fp[32];
   std::snprintf(fp, sizeof(fp), "0x%016llx",
                 static_cast<unsigned long long>(signature_fingerprint));
@@ -974,8 +784,8 @@ std::string PlanExplanation::ToJson() const {
          ",\"safe_range\":" + (safe_range ? "true" : "false") +
          ",\"existential_positive\":" +
          (existential_positive ? "true" : "false") + "}";
-  out += ",\"scan_estimate\":\"" + JsonEscape(scan_estimate) +
-         "\",\"scan_ratio\":" + FormatCost(scan_ratio) +
+  out += ",\"scan_estimate\":" + JsonQuote(scan_estimate) +
+         ",\"scan_ratio\":" + FormatCost(scan_ratio) +
          ",\"observed_short_circuits\":" +
          std::to_string(observed_short_circuits);
   out += ",\"structure\":{\"domain_size\":" +
@@ -986,8 +796,8 @@ std::string PlanExplanation::ToJson() const {
          ",\"components\":" + std::to_string(structure.component_count) +
          ",\"diameter_bound\":" + std::to_string(structure.diameter_bound) +
          "}";
-  out += ",\"rule\":\"" + JsonEscape(rule) + "\"";
-  out += ",\"theorem\":\"" + JsonEscape(theorem) + "\"";
+  out += ",\"rule\":" + JsonQuote(rule);
+  out += ",\"theorem\":" + JsonQuote(theorem);
   out += ",\"costs\":[";
   for (std::size_t i = 0; i < costs.size(); ++i) {
     if (i > 0) {
@@ -999,7 +809,7 @@ std::string PlanExplanation::ToJson() const {
     out += costs[i].eligible ? "true" : "false";
     out += ",\"cost\":" + FormatCost(costs[i].cost);
     if (!costs[i].note.empty()) {
-      out += ",\"note\":\"" + JsonEscape(costs[i].note) + "\"";
+      out += ",\"note\":" + JsonQuote(costs[i].note);
     }
     out += "}";
   }
@@ -1007,34 +817,179 @@ std::string PlanExplanation::ToJson() const {
   return out;
 }
 
+double RoutedPlan::ChosenCost() const {
+  for (const EngineCost& c : costs) {
+    if (c.engine == chosen) {
+      return c.cost;
+    }
+  }
+  return 0.0;
+}
+
+PlanExplanation RoutedPlan::Explain() const {
+  PlanExplanation explain;
+  explain.chosen = chosen;
+  RuleFor(chosen, lookup.hit, &explain.rule, &explain.theorem);
+  explain.cache_hit = lookup.hit;
+  explain.text_cache_hit = lookup.text_hit;
+  explain.canonical_text = plan->canonical.text;
+  explain.signature_fingerprint = plan->canonical.fingerprint;
+  explain.quantifier_rank = plan->analysis.quantifier_rank;
+  explain.variable_width = plan->analysis.variable_width;
+  explain.node_count = plan->analysis.node_count;
+  explain.free_variable_count = plan->analysis.free_variables.size();
+  explain.safe_range = plan->analysis.safe_range;
+  explain.existential_positive = plan->existential_positive;
+  explain.scan_estimate = scan_estimate;
+  explain.scan_ratio = scan_ratio;
+  explain.observed_short_circuits = observed_short_circuits;
+  explain.structure = stats;
+  explain.costs = costs;
+  return explain;
+}
+
+Result<RoutedPlan> PrepareAuto(const Structure& structure,
+                               std::string_view text, bool query_mode,
+                               std::size_t output_count,
+                               const PlannerOptions& options) {
+  std::optional<PlanCache> throwaway;
+  RoutedPlan routed;
+  FMTK_ASSIGN_OR_RETURN(routed.plan,
+                        CacheFor(options, throwaway)
+                            .GetFormulaPlanFromText(
+                                text, structure.signature(), &routed.lookup));
+  Route(structure, query_mode, output_count, options, routed);
+  return routed;
+}
+
+Result<RoutedPlan> PrepareAuto(const Structure& structure,
+                               const Formula& formula, bool query_mode,
+                               std::size_t output_count,
+                               const PlannerOptions& options) {
+  FMTK_RETURN_IF_ERROR(CheckAgainstSignature(formula, structure.signature()));
+  std::optional<PlanCache> throwaway;
+  RoutedPlan routed;
+  FMTK_ASSIGN_OR_RETURN(routed.plan,
+                        CacheFor(options, throwaway)
+                            .GetFormulaPlan(formula, structure.signature(),
+                                            &routed.lookup));
+  Route(structure, query_mode, output_count, options, routed);
+  return routed;
+}
+
+Result<bool> RunSentence(const Structure& s, const RoutedPlan& routed) {
+  const CachedFormulaPlan& plan = *routed.plan;
+  if (!plan.analysis.free_variables.empty()) {
+    return Status::InvalidArgument(
+        "EvaluateAuto requires a sentence; use EvaluateQueryAuto for "
+        "formulas with free variables");
+  }
+  switch (routed.chosen) {
+    case EngineKind::kNaive: {
+      ModelChecker checker(s);
+      return checker.Check(plan.canonical.formula);
+    }
+    case EngineKind::kCompiled: {
+      FMTK_ASSIGN_OR_RETURN(CompiledEvaluator evaluator,
+                            CompiledEvaluator::Bind(plan.plan, s));
+      Result<bool> verdict = evaluator.Evaluate();
+      if (verdict.ok() && routed.record_feedback) {
+        RecordScanFeedback(plan, s, /*query_mode=*/false, 0,
+                           evaluator.stats());
+      }
+      return verdict;
+    }
+    case EngineKind::kParallel: {
+      ParallelPolicy policy;
+      policy.enabled = true;
+      policy.num_threads = ParallelThreads();
+      FMTK_ASSIGN_OR_RETURN(CompiledEvaluator evaluator,
+                            CompiledEvaluator::Bind(plan.plan, s, policy));
+      return evaluator.Evaluate();
+    }
+    case EngineKind::kRelational: {
+      FMTK_ASSIGN_OR_RETURN(Relation answers,
+                            EvaluateQuery(s, plan.canonical.formula, {}));
+      return answers.size() > 0;
+    }
+    case EngineKind::kDatalog: {
+      FMTK_ASSIGN_OR_RETURN(Relation answers,
+                            RunDatalogLowering(s, plan, {}));
+      return answers.size() > 0;
+    }
+    case EngineKind::kBoundedDegree: {
+      std::lock_guard<std::mutex> lock(plan.engines_mu);
+      if (!plan.bounded_degree.has_value()) {
+        if (plan.bounded_degree_failed) {
+          return Status::Unsupported(
+              "planner: bounded-degree evaluator unavailable for this "
+              "sentence");
+        }
+        const BdParams bd = BoundedDegreeParams(plan, s, routed.stats);
+        if (!bd.structurally_eligible) {
+          return Status::Unsupported(
+              "planner: bounded-degree route ineligible: " + bd.reason);
+        }
+        BoundedDegreeEvaluator::Options options;
+        options.threshold = bd.threshold;
+        Result<BoundedDegreeEvaluator> evaluator =
+            BoundedDegreeEvaluator::Create(plan.canonical.formula, options);
+        if (!evaluator.ok()) {
+          plan.bounded_degree_failed = true;
+          return evaluator.status();
+        }
+        plan.bounded_degree.emplace(std::move(evaluator).value());
+      }
+      return plan.bounded_degree->Evaluate(s);
+    }
+  }
+  return Status::Internal("planner: unknown engine");
+}
+
+Result<Relation> RunQuery(const Structure& s, const RoutedPlan& routed,
+                          const std::vector<std::string>& output_variables) {
+  const CachedFormulaPlan& plan = *routed.plan;
+  FMTK_RETURN_IF_ERROR(
+      CheckOutputVariables(plan.analysis.free_variables, output_variables));
+  switch (routed.chosen) {
+    case EngineKind::kNaive:
+      return EvaluateQueryNaive(s, plan.canonical.formula, output_variables);
+    case EngineKind::kCompiled:
+      return EnumerateWithPlan(s, plan, output_variables,
+                               routed.record_feedback);
+    case EngineKind::kRelational:
+      return EvaluateQuery(s, plan.canonical.formula, output_variables);
+    case EngineKind::kDatalog:
+      return RunDatalogLowering(s, plan, output_variables);
+    case EngineKind::kParallel:
+    case EngineKind::kBoundedDegree:
+      return Status::Unsupported(
+          std::string("planner: engine '") + EngineKindName(routed.chosen) +
+          "' evaluates sentences only");
+  }
+  return Status::Internal("planner: unknown engine");
+}
+
 Result<PlanExplanation> PlanAuto(const Structure& structure,
                                  std::string_view text, bool query_mode,
                                  std::size_t output_count,
                                  const PlannerOptions& options) {
   FMTK_ASSIGN_OR_RETURN(
-      AutoContext ctx,
-      PrepareAuto(structure, nullptr, &text, query_mode, output_count,
-                  options));
-  PlanExplanation explain;
-  FillExplanation(ctx, &explain);
-  return explain;
+      RoutedPlan routed,
+      PrepareAuto(structure, text, query_mode, output_count, options));
+  return routed.Explain();
 }
 
 Result<bool> EvaluateAuto(const Structure& structure, const Formula& sentence,
                           const PlannerOptions& options,
                           PlanExplanation* explain) {
   FMTK_ASSIGN_OR_RETURN(
-      AutoContext ctx,
-      PrepareAuto(structure, &sentence, nullptr, /*query_mode=*/false, 0,
-                  options));
-  if (!ctx.plan->analysis.free_variables.empty()) {
-    return Status::InvalidArgument(
-        "EvaluateAuto requires a sentence; use EvaluateQueryAuto for "
-        "formulas with free variables");
+      RoutedPlan routed,
+      PrepareAuto(structure, sentence, /*query_mode=*/false, 0, options));
+  if (explain != nullptr) {
+    *explain = routed.Explain();
   }
-  FillExplanation(ctx, explain);
-  return RunSentence(ctx.chosen, structure, *ctx.plan, ctx.stats, options,
-                     ctx.record_feedback);
+  return RunSentence(structure, routed);
 }
 
 Result<bool> EvaluateAuto(const Structure& structure,
@@ -1042,55 +997,27 @@ Result<bool> EvaluateAuto(const Structure& structure,
                           const PlannerOptions& options,
                           PlanExplanation* explain) {
   FMTK_ASSIGN_OR_RETURN(
-      AutoContext ctx,
-      PrepareAuto(structure, nullptr, &sentence_text, /*query_mode=*/false,
-                  0, options));
-  if (!ctx.plan->analysis.free_variables.empty()) {
-    return Status::InvalidArgument(
-        "EvaluateAuto requires a sentence; use EvaluateQueryAuto for "
-        "formulas with free variables");
+      RoutedPlan routed,
+      PrepareAuto(structure, sentence_text, /*query_mode=*/false, 0,
+                  options));
+  if (explain != nullptr) {
+    *explain = routed.Explain();
   }
-  FillExplanation(ctx, explain);
-  return RunSentence(ctx.chosen, structure, *ctx.plan, ctx.stats, options,
-                     ctx.record_feedback);
+  return RunSentence(structure, routed);
 }
-
-namespace {
-
-Status ValidateOutputs(const CachedFormulaPlan& plan,
-                       const std::vector<std::string>& output_variables) {
-  std::set<std::string> seen;
-  for (const std::string& v : output_variables) {
-    if (!seen.insert(v).second) {
-      return Status::InvalidArgument("duplicate output variable: " + v);
-    }
-  }
-  for (const std::string& v : plan.analysis.free_variables) {
-    if (seen.find(v) == seen.end()) {
-      return Status::InvalidArgument(
-          "output variables must cover free variable " + v);
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<Relation> EvaluateQueryAuto(
     const Structure& structure, const Formula& f,
     const std::vector<std::string>& output_variables,
     const PlannerOptions& options, PlanExplanation* explain) {
   FMTK_ASSIGN_OR_RETURN(
-      AutoContext ctx,
-      PrepareAuto(structure, &f, nullptr, /*query_mode=*/true,
-                  output_variables.size(), options));
-  Status valid = ValidateOutputs(*ctx.plan, output_variables);
-  if (!valid.ok()) {
-    return valid;
+      RoutedPlan routed,
+      PrepareAuto(structure, f, /*query_mode=*/true, output_variables.size(),
+                  options));
+  if (explain != nullptr) {
+    *explain = routed.Explain();
   }
-  FillExplanation(ctx, explain);
-  return RunQuery(ctx.chosen, structure, *ctx.plan, output_variables,
-                  options, ctx.record_feedback);
+  return RunQuery(structure, routed, output_variables);
 }
 
 Result<Relation> EvaluateQueryAuto(
@@ -1098,16 +1025,13 @@ Result<Relation> EvaluateQueryAuto(
     const std::vector<std::string>& output_variables,
     const PlannerOptions& options, PlanExplanation* explain) {
   FMTK_ASSIGN_OR_RETURN(
-      AutoContext ctx,
-      PrepareAuto(structure, nullptr, &query_text, /*query_mode=*/true,
+      RoutedPlan routed,
+      PrepareAuto(structure, query_text, /*query_mode=*/true,
                   output_variables.size(), options));
-  Status valid = ValidateOutputs(*ctx.plan, output_variables);
-  if (!valid.ok()) {
-    return valid;
+  if (explain != nullptr) {
+    *explain = routed.Explain();
   }
-  FillExplanation(ctx, explain);
-  return RunQuery(ctx.chosen, structure, *ctx.plan, output_variables,
-                  options, ctx.record_feedback);
+  return RunQuery(structure, routed, output_variables);
 }
 
 std::string DatalogPlanExplanation::ToString() const {
@@ -1135,14 +1059,7 @@ std::string DatalogPlanExplanation::ToString() const {
 }
 
 std::string DatalogPlanExplanation::ToJson() const {
-  auto string_array = [](const std::vector<std::string>& lines) {
-    std::string out = "[";
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      out += (i > 0 ? ",\"" : "\"") + JsonEscape(lines[i]) + "\"";
-    }
-    return out + "]";
-  };
-  std::string out = "{\"route\":\"" + JsonEscape(route) + "\"";
+  std::string out = "{\"route\":" + JsonQuote(route);
   out += ",\"cache_hit\":";
   out += cache_hit ? "true" : "false";
   out += ",\"text_cache_hit\":";
@@ -1153,9 +1070,12 @@ std::string DatalogPlanExplanation::ToJson() const {
   out += magic_applied ? "true" : "false";
   out += ",\"fo_expressible\":";
   out += fo_expressible ? "true" : "false";
-  out += ",\"strata\":" + string_array(strata);
-  out += ",\"boundedness\":" + string_array(boundedness);
-  out += ",\"rewrites\":" + string_array(rewrites);
+  out += ",\"strata\":";
+  JsonAppendStringArray(out, strata);
+  out += ",\"boundedness\":";
+  JsonAppendStringArray(out, boundedness);
+  out += ",\"rewrites\":";
+  JsonAppendStringArray(out, rewrites);
   out += "}";
   return out;
 }
@@ -1284,22 +1204,12 @@ Result<std::map<std::string, Relation>> EvaluateDatalogAuto(
     PlanCacheLookup* lookup, DatalogPlanExplanation* explain) {
   PlanCacheLookup local_lookup;
   PlanCacheLookup* lk = lookup != nullptr ? lookup : &local_lookup;
-  const DatalogPlanOptions plan_options =
-      DatalogPlanOptionsFrom(options);
-  std::shared_ptr<const CachedDatalogPlan> plan;
-  if (options.use_cache) {
-    PlanCache& cache =
-        options.cache != nullptr ? *options.cache : DefaultPlanCache();
-    FMTK_ASSIGN_OR_RETURN(
-        plan, cache.GetDatalogPlan(program, edb.signature(), plan_options,
-                                   lk));
-  } else {
-    PlanCache throwaway(PlanCache::Config{1, 2});
-    FMTK_ASSIGN_OR_RETURN(
-        plan, throwaway.GetDatalogPlan(program, edb.signature(), plan_options,
-                                       lk));
-    lk->hit = false;
-  }
+  std::optional<PlanCache> throwaway;
+  FMTK_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDatalogPlan> plan,
+                        CacheFor(options, throwaway)
+                            .GetDatalogPlan(program, edb.signature(),
+                                            DatalogPlanOptionsFrom(options),
+                                            lk));
   return RunDatalogPlan(edb, plan, options, stats, *lk, explain);
 }
 
@@ -1309,22 +1219,12 @@ Result<std::map<std::string, Relation>> EvaluateDatalogAuto(
     PlanCacheLookup* lookup, DatalogPlanExplanation* explain) {
   PlanCacheLookup local_lookup;
   PlanCacheLookup* lk = lookup != nullptr ? lookup : &local_lookup;
-  const DatalogPlanOptions plan_options =
-      DatalogPlanOptionsFrom(options);
-  std::shared_ptr<const CachedDatalogPlan> plan;
-  if (options.use_cache) {
-    PlanCache& cache =
-        options.cache != nullptr ? *options.cache : DefaultPlanCache();
-    FMTK_ASSIGN_OR_RETURN(
-        plan, cache.GetDatalogPlanFromText(program_text, edb.signature(),
-                                           plan_options, lk));
-  } else {
-    PlanCache throwaway(PlanCache::Config{1, 2});
-    FMTK_ASSIGN_OR_RETURN(
-        plan, throwaway.GetDatalogPlanFromText(program_text, edb.signature(),
-                                               plan_options, lk));
-    lk->hit = false;
-  }
+  std::optional<PlanCache> throwaway;
+  FMTK_ASSIGN_OR_RETURN(std::shared_ptr<const CachedDatalogPlan> plan,
+                        CacheFor(options, throwaway)
+                            .GetDatalogPlanFromText(
+                                program_text, edb.signature(),
+                                DatalogPlanOptionsFrom(options), lk));
   return RunDatalogPlan(edb, plan, options, stats, *lk, explain);
 }
 

@@ -4,12 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "base/parallel.h"
 #include "base/result.h"
 #include "datalog/evaluator.h"
 #include "logic/formula.h"
@@ -49,23 +49,16 @@ const char* EngineKindName(EngineKind kind);
 std::optional<EngineKind> ParseEngineKind(std::string_view name);
 
 struct PlannerOptions {
-  /// Bypass the cost model and run this engine (Unsupported when the
+  /// Run this engine instead of the router's pick (Unsupported when the
   /// engine cannot evaluate the query, e.g. Datalog outside the
-  /// existential-positive fragment).
+  /// existential-positive fragment). The cost table is still computed, so
+  /// the forced engine is priced by its own row; that row's note says
+  /// "forced", and the run records no scan feedback.
   std::optional<EngineKind> force_engine;
   /// Use (and fill) the plan cache. Off = canonicalize + compile fresh.
   bool use_cache = true;
   /// Cache to use; nullptr = the process-global DefaultPlanCache().
   PlanCache* cache = nullptr;
-  /// Threads the parallel route may assume; 0 = hardware concurrency.
-  std::size_t threads = 0;
-  /// Bounded-degree route: largest estimated r-ball size worth the
-  /// histogram pass, and the safety factor — the histogram pass must be
-  /// estimated at most this fraction of the compiled scan before the
-  /// route is taken (so even a verdict-cache miss, which falls back to one
-  /// compiled check, costs at most (1 + safety) of the compiled route).
-  std::size_t bounded_degree_max_ball = 256;
-  double bounded_degree_safety = 0.15;
   /// Datalog route: output predicates — the liveness/demand roots dead-rule
   /// elimination and the magic-set transformation rewrite against (the same
   /// root set fmtk_lint --output feeds FMTK106). Empty = every IDB
@@ -135,14 +128,60 @@ struct PlanExplanation {
   std::string ToJson() const;
 };
 
-/// Cost-estimate export (PR 9): plan acquisition + routing WITHOUT
-/// execution. The query server's admission control calls this to price a
-/// request against its budgets before committing a worker to it; repeat
-/// texts hit the plan cache, so admission adds no parse/analyze/compile
-/// work to admitted requests. `query_mode` prices EvaluateQueryAuto's
-/// domain^m enumeration with `output_count` output columns; sentences pass
-/// query_mode = false. The returned explanation's `costs` row for `chosen`
-/// carries the work estimate in compiled-slot-op units.
+/// One routing pass over one FO query: the plan-cache entry, the outcome
+/// of that cache access, the structure statistics and the full per-engine
+/// cost table, with `chosen` the engine to run. PrepareAuto produces it and
+/// RunSentence / RunQuery execute it, so the engine that runs is the one the
+/// cost table priced. A forced engine (PlannerOptions::force_engine) only
+/// overrides `chosen` and turns scan feedback off; the table is unchanged.
+struct RoutedPlan {
+  std::shared_ptr<const CachedFormulaPlan> plan;
+  PlanCacheLookup lookup;
+  StructureStats stats;
+  EngineKind chosen = EngineKind::kCompiled;
+  std::vector<EngineCost> costs;
+  /// "static" / "measured" / "prior" — see PlanExplanation::scan_estimate.
+  const char* scan_estimate = "static";
+  double scan_ratio = 1.0;
+  std::uint64_t observed_short_circuits = 0;
+  /// Feedback is recorded only for router-chosen runs, never forced ones.
+  bool record_feedback = false;
+
+  /// The cost row of `chosen`, in compiled-slot-op units.
+  double ChosenCost() const;
+  /// The --explain view of this routing pass.
+  PlanExplanation Explain() const;
+};
+
+/// Plan acquisition + routing, without execution. `query_mode` prices
+/// RunQuery's domain^m enumeration with `output_count` output columns;
+/// sentences pass query_mode = false. Repeat texts hit the plan cache, so
+/// preparing adds no parse/analyze/compile work to a warm request. The
+/// Formula door first checks the *original* formula against the
+/// vocabulary, for error parity with the direct engines (folding could
+/// erase an invalid dead branch).
+Result<RoutedPlan> PrepareAuto(const Structure& structure,
+                               std::string_view text, bool query_mode,
+                               std::size_t output_count,
+                               const PlannerOptions& options = {});
+Result<RoutedPlan> PrepareAuto(const Structure& structure,
+                               const Formula& formula, bool query_mode,
+                               std::size_t output_count,
+                               const PlannerOptions& options = {});
+
+/// Runs a sentence's routed plan on the structure it was prepared for.
+/// InvalidArgument when the query has free variables.
+Result<bool> RunSentence(const Structure& structure, const RoutedPlan& routed);
+
+/// Runs a query's routed plan (prepared with query_mode and
+/// output_variables.size() outputs). The outputs obey
+/// CheckOutputVariables against the canonical query's free variables.
+Result<Relation> RunQuery(const Structure& structure, const RoutedPlan& routed,
+                          const std::vector<std::string>& output_variables);
+
+/// PrepareAuto's explanation alone: what the query server's admission
+/// control and --explain read. The `costs` row for `chosen` carries the
+/// work estimate in compiled-slot-op units.
 Result<PlanExplanation> PlanAuto(const Structure& structure,
                                  std::string_view text, bool query_mode,
                                  std::size_t output_count,
@@ -151,7 +190,8 @@ Result<PlanExplanation> PlanAuto(const Structure& structure,
 /// Decides structure ⊨ sentence, routing to the estimated-fastest engine.
 /// Verdicts are identical to every engine's direct invocation (the engines
 /// are differential-tested against each other). `sentence` must have no
-/// free variables.
+/// free variables. PrepareAuto + RunSentence; `explain` receives the
+/// routing pass.
 Result<bool> EvaluateAuto(const Structure& structure, const Formula& sentence,
                           const PlannerOptions& options = {},
                           PlanExplanation* explain = nullptr);
@@ -166,7 +206,7 @@ Result<bool> EvaluateAuto(const Structure& structure,
 /// ans(φ(x̄), A) with automatic engine choice. Matches EvaluateQuery's
 /// semantics: column i is output_variables[i], the list must cover every
 /// free variable (of the canonicalized query) and contain no duplicates;
-/// extra variables range over the whole domain.
+/// extra variables range over the whole domain. PrepareAuto + RunQuery.
 Result<Relation> EvaluateQueryAuto(
     const Structure& structure, const Formula& f,
     const std::vector<std::string>& output_variables,

@@ -312,50 +312,35 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
     return JsonError(404, "no structure named '" + *structure_name + "'");
   }
 
-  // Admission: price the request (plan-cache backed, no execution) and
-  // check the budgets before committing a worker's engine time.
-  auto plan = PlanAuto(*structure, *query_text, query_mode, outputs.size(),
-                       planner);
-  if (!plan.ok()) {
-    return JsonError(HttpStatusFor(plan.status()), plan.status().message(),
+  // Plan once: the routed plan prices the request for admission (plan-cache
+  // backed, no execution) and is the very plan that runs, so the engine
+  // admitted is the engine executed — a forced engine is priced by its own
+  // row of the same cost table.
+  auto routed = PrepareAuto(*structure, *query_text, query_mode,
+                            outputs.size(), planner);
+  if (!routed.ok()) {
+    return JsonError(HttpStatusFor(routed.status()), routed.status().message(),
                      FoDiagnosticsJson(*query_text, *structure, query_mode));
   }
   const AdmissionPolicy& policy = options_.admission;
-  double cost_units = 0.0;
-  for (const EngineCost& cost : plan->costs) {
-    if (cost.engine == plan->chosen) cost_units = cost.cost;
-  }
-  if (planner.force_engine.has_value()) {
-    // A forced engine carries a 0-cost sentinel row ("forced"), which
-    // would let clients dodge every cost budget by naming an engine.
-    // Price it off the unforced scoring instead (plan-cache backed, so
-    // this second probe is a lookup, not a recompile).
-    PlannerOptions unforced = planner;
-    unforced.force_engine.reset();
-    if (auto priced = PlanAuto(*structure, *query_text, query_mode,
-                               outputs.size(), unforced);
-        priced.ok()) {
-      for (const EngineCost& cost : priced->costs) {
-        if (cost.engine == *planner.force_engine) cost_units = cost.cost;
-      }
-    }
-  }
+  const FoAnalysis& measures = routed->plan->analysis;
+  const double cost_units = routed->ChosenCost();
   const double estimated_rows =
       query_mode ? std::pow(static_cast<double>(structure->domain_size()),
                             static_cast<double>(outputs.size()))
                  : 1.0;
   std::string rejection;
   if (policy.max_quantifier_rank > 0 &&
-      plan->quantifier_rank > policy.max_quantifier_rank) {
-    rejection = "quantifier rank " + std::to_string(plan->quantifier_rank) +
+      measures.quantifier_rank > policy.max_quantifier_rank) {
+    rejection = "quantifier rank " + std::to_string(measures.quantifier_rank) +
                 " exceeds budget " + std::to_string(policy.max_quantifier_rank);
   } else if (policy.max_variable_width > 0 &&
-             plan->variable_width > policy.max_variable_width) {
-    rejection = "variable width " + std::to_string(plan->variable_width) +
+             measures.variable_width > policy.max_variable_width) {
+    rejection = "variable width " + std::to_string(measures.variable_width) +
                 " exceeds budget " + std::to_string(policy.max_variable_width);
   } else if (policy.max_node_count > 0 &&
-             plan->node_count > policy.max_node_count) {
-    rejection = "formula size " + std::to_string(plan->node_count) +
+             measures.node_count > policy.max_node_count) {
+    rejection = "formula size " + std::to_string(measures.node_count) +
                 " exceeds budget " + std::to_string(policy.max_node_count);
   } else if (policy.max_cost_units > 0 && cost_units > policy.max_cost_units) {
     rejection = "estimated cost " + JsonNumber(cost_units) +
@@ -374,9 +359,9 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
     body_out += ",\"admission\":{\"rejected\":true,\"reason\":";
     JsonAppendString(body_out, rejection);
     body_out += ",\"cost_units\":" + JsonNumber(cost_units);
-    body_out += ",\"quantifier_rank\":" + std::to_string(plan->quantifier_rank);
-    body_out += ",\"variable_width\":" + std::to_string(plan->variable_width);
-    body_out += ",\"node_count\":" + std::to_string(plan->node_count);
+    body_out += ",\"quantifier_rank\":" + std::to_string(measures.quantifier_rank);
+    body_out += ",\"variable_width\":" + std::to_string(measures.variable_width);
+    body_out += ",\"node_count\":" + std::to_string(measures.node_count);
     body_out += ",\"estimated_rows\":" + JsonNumber(estimated_rows);
     body_out += "}}\n";
     return HttpResponse::Json(429, std::move(body_out));
@@ -395,9 +380,6 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
     ++stats_.heavy_lane_entries;
   }
 
-  // Execute through the router (plan-cache warm by now: the admission probe
-  // either hit or populated it).
-  PlanExplanation explain;
   const std::int64_t started = NowMicros();
   std::string body_out = "{";
   body_out += "\"structure\":";
@@ -405,7 +387,7 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
   body_out += ",\"query\":";
   JsonAppendString(body_out, *query_text);
   if (!query_mode) {
-    auto verdict = EvaluateAuto(*structure, *query_text, planner, &explain);
+    auto verdict = RunSentence(*structure, *routed);
     if (!verdict.ok()) {
       return JsonError(HttpStatusFor(verdict.status()),
                        verdict.status().message(),
@@ -414,8 +396,7 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
     body_out += ",\"result\":";
     body_out += *verdict ? "true" : "false";
   } else {
-    auto rows = EvaluateQueryAuto(*structure, *query_text, outputs, planner,
-                                  &explain);
+    auto rows = RunQuery(*structure, *routed, outputs);
     if (!rows.ok()) {
       return JsonError(HttpStatusFor(rows.status()), rows.status().message(),
                        FoDiagnosticsJson(*query_text, *structure, query_mode));
@@ -431,9 +412,9 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
   const std::int64_t wall_us = NowMicros() - started;
 
   body_out += ",\"engine\":";
-  JsonAppendString(body_out, EngineKindName(explain.chosen));
+  JsonAppendString(body_out, EngineKindName(routed->chosen));
   body_out += ",\"cache_hit\":";
-  body_out += explain.cache_hit ? "true" : "false";
+  body_out += routed->lookup.hit ? "true" : "false";
   body_out += ",\"wall_us\":" + std::to_string(wall_us);
   body_out += ",\"admission\":{\"cost_units\":" + JsonNumber(cost_units);
   body_out += ",\"lane\":\"";
@@ -441,7 +422,7 @@ HttpResponse QueryServer::HandleQuery(const HttpRequest& request) {
   body_out += "\"}";
   if (want_explain) {
     body_out += ",\"explain\":";
-    body_out += explain.ToJson();
+    body_out += routed->Explain().ToJson();
   }
   body_out += "}\n";
   return HttpResponse::Json(200, std::move(body_out));

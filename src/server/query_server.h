@@ -22,9 +22,10 @@ namespace fmtk {
 
 /// Admission control budgets for one request (ISSUE: reject or queue
 /// requests whose analyzer cost measures exceed configurable budgets).
-/// Every request is priced by PlanAuto — plan acquisition and routing
-/// without execution, so repeat texts price off the plan cache for free —
-/// and then checked against these knobs. Two tiers:
+/// Every request is planned once by PrepareAuto — plan acquisition and
+/// routing, so repeat texts price off the plan cache for free — and the
+/// chosen engine's cost row (a forced engine's own row) is checked against
+/// these knobs before the same routed plan runs. Two tiers:
 ///
 ///   * hard budgets (max_*): the request is rejected with 429 and the
 ///     offending measure, without ever occupying a worker's engine time;

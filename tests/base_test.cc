@@ -169,6 +169,15 @@ TEST(JsonOutTest, InvalidUtf8BecomesReplacementCharacter) {
   EXPECT_EQ(JsonQuote("a\x80z"), "\"a" + std::string(replacement) + "z\"");
 }
 
+TEST(JsonOutTest, StringArraysAppendQuotedEscapedItems) {
+  std::string out = "x:";
+  JsonAppendStringArray(out, {});
+  EXPECT_EQ(out, "x:[]");
+  out.clear();
+  JsonAppendStringArray(out, {"a", "b\"c", std::string("\x01", 1), "\x80"});
+  EXPECT_EQ(out, "[\"a\",\"b\\\"c\",\"\\u0001\",\"\\ufffd\"]");
+}
+
 TEST(JsonOutTest, NumbersAreFiniteAndRoundTrip) {
   EXPECT_EQ(JsonNumber(0.0), "0");
   EXPECT_EQ(JsonNumber(1.5), "1.5");

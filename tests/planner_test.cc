@@ -195,18 +195,43 @@ std::vector<Structure> SweepStructures(std::mt19937_64& rng) {
   return out;
 }
 
+const std::vector<std::string> kSweepSentences = {
+    "exists x. E(x,x)",
+    "exists x. exists y. E(x,y) & E(y,x)",
+    "forall x. exists y. E(x,y)",
+    "forall x. ~E(x,x)",
+    "forall x. forall y. E(x,y) -> (exists z. E(y,z))",
+    "exists x. forall y. E(x,y) | (x = y)",
+    "(exists x. E(x,x)) | (forall x. exists y. E(x,y))",
+    "atleast 2 x. exists y. E(x,y)",
+    "exists x. exists y. E(x,y) & ~(x = y)",
+};
+
+const std::vector<std::pair<std::string, std::vector<std::string>>>
+    kSweepQueries = {
+        {"E(x,y)", {"x", "y"}},
+        {"E(x,y)", {"y", "x"}},  // column order respected
+        {"exists y. E(x,y)", {"x"}},
+        {"E(x,y) & E(y,z)", {"x", "y", "z"}},
+        {"E(x,y) & E(y,z)", {"z", "x", "y"}},
+        {"~E(x,x)", {"x"}},
+        {"E(x,x)", {"x", "y"}},  // extra output ranges over the domain
+        {"(exists z. E(x,z) & E(z,y)) | E(x,y)", {"x", "y"}},
+        {"forall y. E(x,y) | ~E(y,x)", {"x"}},
+};
+
+std::vector<Structure> QuerySweepStructures() {
+  std::mt19937_64 rng(987654);
+  std::vector<Structure> structures;
+  structures.push_back(MakeDirectedCycle(5));
+  structures.push_back(MakeDirectedPath(6));
+  structures.push_back(MakeCompleteGraph(4));
+  structures.push_back(MakeEmptyGraph(3));
+  structures.push_back(MakeRandomGraph(8, 0.2, rng));
+  return structures;
+}
+
 TEST(EvaluateAutoTest, DifferentialSentenceSweep) {
-  const std::vector<std::string> sentences = {
-      "exists x. E(x,x)",
-      "exists x. exists y. E(x,y) & E(y,x)",
-      "forall x. exists y. E(x,y)",
-      "forall x. ~E(x,x)",
-      "forall x. forall y. E(x,y) -> (exists z. E(y,z))",
-      "exists x. forall y. E(x,y) | (x = y)",
-      "(exists x. E(x,x)) | (forall x. exists y. E(x,y))",
-      "atleast 2 x. exists y. E(x,y)",
-      "exists x. exists y. E(x,y) & ~(x = y)",
-  };
   std::mt19937_64 rng(20260809);
   const std::vector<Structure> structures = SweepStructures(rng);
 
@@ -214,7 +239,7 @@ TEST(EvaluateAutoTest, DifferentialSentenceSweep) {
   PlannerOptions opts;
   opts.cache = &cache;
   for (const Structure& g : structures) {
-    for (const std::string& text : sentences) {
+    for (const std::string& text : kSweepSentences) {
       const Formula f = *ParseFormula(text, &g.signature());
       ModelChecker checker(g);
       const bool expected = *checker.Check(f);
@@ -248,31 +273,11 @@ TEST(EvaluateAutoTest, DifferentialSentenceSweep) {
 }
 
 TEST(EvaluateAutoTest, DifferentialQuerySweep) {
-  const std::vector<std::pair<std::string, std::vector<std::string>>> queries =
-      {
-          {"E(x,y)", {"x", "y"}},
-          {"E(x,y)", {"y", "x"}},  // column order respected
-          {"exists y. E(x,y)", {"x"}},
-          {"E(x,y) & E(y,z)", {"x", "y", "z"}},
-          {"E(x,y) & E(y,z)", {"z", "x", "y"}},
-          {"~E(x,x)", {"x"}},
-          {"E(x,x)", {"x", "y"}},  // extra output ranges over the domain
-          {"(exists z. E(x,z) & E(z,y)) | E(x,y)", {"x", "y"}},
-          {"forall y. E(x,y) | ~E(y,x)", {"x"}},
-      };
-  std::mt19937_64 rng(987654);
-  std::vector<Structure> structures;
-  structures.push_back(MakeDirectedCycle(5));
-  structures.push_back(MakeDirectedPath(6));
-  structures.push_back(MakeCompleteGraph(4));
-  structures.push_back(MakeEmptyGraph(3));
-  structures.push_back(MakeRandomGraph(8, 0.2, rng));
-
   PlanCache cache;
   PlannerOptions opts;
   opts.cache = &cache;
-  for (const Structure& g : structures) {
-    for (const auto& [text, outputs] : queries) {
+  for (const Structure& g : QuerySweepStructures()) {
+    for (const auto& [text, outputs] : kSweepQueries) {
       const Formula f = *ParseFormula(text, &g.signature());
       auto expected = EvaluateQueryNaive(g, f, outputs);
       ASSERT_TRUE(expected.ok()) << text;
@@ -297,6 +302,81 @@ TEST(EvaluateAutoTest, DifferentialQuerySweep) {
               << text << " forced to " << EngineKindName(engine) << ": "
               << result.status().ToString();
         }
+      }
+    }
+  }
+}
+
+// The routing a caller is shown (PlanAuto, admission's price) is the
+// routing that runs: one PrepareAuto pass feeds both.
+void ExpectSameRouting(const PlanExplanation& planned,
+                       const PlanExplanation& ran, const std::string& what) {
+  EXPECT_EQ(planned.chosen, ran.chosen) << what;
+  ASSERT_EQ(planned.costs.size(), ran.costs.size()) << what;
+  for (std::size_t i = 0; i < planned.costs.size(); ++i) {
+    EXPECT_EQ(planned.costs[i].engine, ran.costs[i].engine) << what;
+    EXPECT_EQ(planned.costs[i].eligible, ran.costs[i].eligible) << what;
+    EXPECT_EQ(planned.costs[i].cost, ran.costs[i].cost) << what;
+    EXPECT_EQ(planned.costs[i].note, ran.costs[i].note) << what;
+  }
+}
+
+TEST(EvaluateAutoTest, PlanAutoMatchesTheRoutedRun) {
+  std::mt19937_64 rng(20260809);
+  PlanCache cache;
+  PlannerOptions opts;
+  opts.cache = &cache;
+  for (const Structure& g : SweepStructures(rng)) {
+    for (const std::string& text : kSweepSentences) {
+      auto planned = PlanAuto(g, text, /*query_mode=*/false, 0, opts);
+      ASSERT_TRUE(planned.ok()) << text;
+      PlanExplanation ran;
+      ASSERT_TRUE(EvaluateAuto(g, text, opts, &ran).ok()) << text;
+      ExpectSameRouting(*planned, ran,
+                        text + " on n=" + std::to_string(g.domain_size()));
+    }
+  }
+  for (const Structure& g : QuerySweepStructures()) {
+    for (const auto& [text, outputs] : kSweepQueries) {
+      auto planned =
+          PlanAuto(g, text, /*query_mode=*/true, outputs.size(), opts);
+      ASSERT_TRUE(planned.ok()) << text;
+      PlanExplanation ran;
+      ASSERT_TRUE(EvaluateQueryAuto(g, text, outputs, opts, &ran).ok())
+          << text;
+      ExpectSameRouting(*planned, ran,
+                        text + " on n=" + std::to_string(g.domain_size()));
+    }
+  }
+}
+
+TEST(EvaluateAutoTest, ForcedRunReportsTheFullCostTable) {
+  PlanCache cache;
+  PlannerOptions opts;
+  opts.cache = &cache;
+  const Structure g = MakeDirectedCycle(9);
+  const std::string text = "forall x. exists y. E(x,y)";
+  auto routed = PlanAuto(g, text, /*query_mode=*/false, 0, opts);
+  ASSERT_TRUE(routed.ok());
+  ASSERT_EQ(routed->costs.size(), kAllEngines.size());
+  for (EngineKind engine : kAllEngines) {
+    PlannerOptions forced = opts;
+    forced.force_engine = engine;
+    PlanExplanation explain;
+    (void)EvaluateAuto(g, text, forced, &explain);  // may be Unsupported
+    const std::string what = EngineKindName(engine);
+    EXPECT_EQ(explain.chosen, engine) << what;
+    ASSERT_EQ(explain.costs.size(), routed->costs.size()) << what;
+    for (std::size_t i = 0; i < explain.costs.size(); ++i) {
+      const EngineCost& row = explain.costs[i];
+      const EngineCost& unforced = routed->costs[i];
+      EXPECT_EQ(row.engine, unforced.engine) << what;
+      EXPECT_EQ(row.eligible, unforced.eligible) << what;
+      EXPECT_EQ(row.cost, unforced.cost) << what;
+      if (row.engine == engine) {
+        EXPECT_EQ(row.note.rfind("forced", 0), 0u) << what << ": " << row.note;
+      } else {
+        EXPECT_EQ(row.note, unforced.note) << what;
       }
     }
   }

@@ -236,6 +236,61 @@ TEST_F(QueryServerTest, RepeatQueryHitsPlanCache) {
   EXPECT_NE(warm.body.find("\"text_cache_hit\":true"), std::string::npos);
 }
 
+// Formula-layer plan-cache lookups (hits + misses) so far.
+std::uint64_t FormulaLookups(const PlanCache& cache) {
+  const PlanCacheStats stats = cache.formula_stats();
+  return stats.hits + stats.misses;
+}
+
+TEST_F(QueryServerTest, FoQueryIsPlannedOncePerRequest) {
+  // Admission prices the routed plan that then runs: a cold text costs its
+  // exact-text miss plus its canonical miss, a warm one a single exact-text
+  // hit, for sentences and output queries alike.
+  for (const std::string body :
+       {R"js({"structure":"ring","query":"forall x. exists y. E(x,y)"})js",
+        R"js({"structure":"ring","query":"E(x,y)","outputs":["x","y"]})js"}) {
+    std::uint64_t before = FormulaLookups(cache_);
+    const HttpResponse cold =
+        server_->Handle(MakeRequest("POST", "/query", body));
+    ASSERT_EQ(cold.status, 200) << cold.body;
+    EXPECT_EQ(FormulaLookups(cache_) - before, 2u) << body;
+    EXPECT_NE(cold.body.find("\"cache_hit\":false"), std::string::npos)
+        << cold.body;
+
+    before = FormulaLookups(cache_);
+    const HttpResponse warm =
+        server_->Handle(MakeRequest("POST", "/query", body));
+    ASSERT_EQ(warm.status, 200) << warm.body;
+    EXPECT_EQ(FormulaLookups(cache_) - before, 1u) << body;
+    EXPECT_NE(warm.body.find("\"cache_hit\":true"), std::string::npos)
+        << warm.body;
+  }
+}
+
+TEST_F(QueryServerTest, ForcedEngineIsPlannedOnceAndPricedByItsOwnRow) {
+  const std::string query = R"js("structure":"ring","query":"exists x. E(x,x)")js";
+  ASSERT_EQ(
+      server_->Handle(MakeRequest("POST", "/query", "{" + query + "}")).status,
+      200);
+  const std::uint64_t before = FormulaLookups(cache_);
+  const HttpResponse forced = server_->Handle(MakeRequest(
+      "POST", "/query",
+      "{" + query + R"js(,"engine":"relational","explain":true})js"));
+  ASSERT_EQ(forced.status, 200) << forced.body;
+  EXPECT_EQ(FormulaLookups(cache_) - before, 1u);
+  EXPECT_NE(forced.body.find("\"result\":false"), std::string::npos)
+      << forced.body;
+  EXPECT_NE(forced.body.find("\"engine\":\"relational\",\"cache_hit\""),
+            std::string::npos)
+      << forced.body;
+  // The explain block carries every engine's row; the forced one says so.
+  EXPECT_NE(forced.body.find("\"engine\":\"bounded-degree\",\"eligible\""),
+            std::string::npos)
+      << forced.body;
+  EXPECT_NE(forced.body.find("\"note\":\"forced\""), std::string::npos)
+      << forced.body;
+}
+
 TEST_F(QueryServerTest, UnknownStructureIs404AndBadBodyIs400) {
   EXPECT_EQ(server_
                 ->Handle(MakeRequest(
